@@ -55,6 +55,10 @@ struct AnyIoCursor {
     /// shared atomic cache) — this is what lets class sharing skip
     /// repeat queries across a pause/resume split too.
     resolved: Vec<u8>,
+    /// The uids set in `resolved`, in resolution order. Each is pushed
+    /// once (a uid is only solved while unknown), so snapshots cost
+    /// O(k log k) in resolved verdicts instead of a scan of all uids.
+    resolved_log: Vec<u32>,
     last_cand: u32,
 }
 
@@ -65,6 +69,7 @@ impl AnyIoCursor {
             best: plan.best_init.clone(),
             queries: vec![0; plan.best_init.len()],
             resolved: vec![UID_UNKNOWN; plan.n_uids],
+            resolved_log: Vec::new(),
             last_cand: u32::MAX,
         }
     }
@@ -136,6 +141,7 @@ impl AnyIoCursor {
                 // Without batch-wide uids the cache can never hit — skip
                 // the store so checkpoints stay free of dead weight.
                 self.resolved[uid as usize] = if sat { UID_SAT } else { UID_UNSAT };
+                self.resolved_log.push(uid);
             }
             if sat {
                 self.best[cand] = self.best[cand].min(index as usize);
@@ -160,11 +166,13 @@ pub struct AnyIoProgress {
     pub best: Vec<usize>,
     /// Per-candidate SAT queries issued so far.
     pub queries: Vec<usize>,
-    /// Resolved orbit-function verdicts `(uid, satisfiable)`, ascending
-    /// by uid — the class-sharing verdict cache. Empty whenever class
-    /// sharing is off (every uid is then visited at most once, so there
-    /// is nothing a later item could reuse) and on pre-NPN checkpoints,
-    /// which restore exactly as before.
+    /// Resolved orbit-function verdicts `(uid, satisfiable)`, strictly
+    /// ascending by uid — the class-sharing verdict cache. It holds at
+    /// most one entry per SAT query issued, and a snapshot builds it in
+    /// O(k log k) for k entries, independent of orbit size. Empty
+    /// whenever class sharing is off (every uid is then visited at most
+    /// once, so there is nothing a later item could reuse) and on
+    /// pre-NPN checkpoints, which restore exactly as before.
     pub resolved: Vec<(u32, bool)>,
 }
 
@@ -290,20 +298,22 @@ impl AnyIoJob {
         )
     }
 
-    /// Snapshots the complete resumable state.
+    /// Snapshots the complete resumable state. Costs O(candidates +
+    /// k log k) for k resolved verdicts — independent of orbit size, so
+    /// checkpointing every few items stays cheap on large NPN orbits.
     pub fn progress(&self) -> AnyIoProgress {
+        let cursor = &self.cursor;
+        let mut resolved: Vec<(u32, bool)> = cursor
+            .resolved_log
+            .iter()
+            .map(|&uid| (uid, cursor.resolved[uid as usize] == UID_SAT))
+            .collect();
+        resolved.sort_unstable_by_key(|&(uid, _)| uid);
         AnyIoProgress {
-            pos: self.cursor.pos,
-            best: self.cursor.best.clone(),
-            queries: self.cursor.queries.clone(),
-            resolved: self
-                .cursor
-                .resolved
-                .iter()
-                .enumerate()
-                .filter(|&(_, &v)| v != UID_UNKNOWN)
-                .map(|(uid, &v)| (uid as u32, v == UID_SAT))
-                .collect(),
+            pos: cursor.pos,
+            best: cursor.best.clone(),
+            queries: cursor.queries.clone(),
+            resolved,
         }
     }
 
@@ -313,8 +323,9 @@ impl AnyIoJob {
     /// # Panics
     ///
     /// Panics if the progress does not fit this job's plan (wrong
-    /// candidate count or a position past the work list) — the usual
-    /// cause is a checkpoint from a different workload.
+    /// candidate count, a position past the work list, or a verdict uid
+    /// past the cache or out of ascending order) — the usual cause is a
+    /// checkpoint from a different workload.
     pub fn restore(&mut self, progress: &AnyIoProgress) {
         assert_eq!(
             progress.best.len(),
@@ -330,10 +341,15 @@ impl AnyIoJob {
             progress.pos <= self.plan.work.len(),
             "checkpoint position is past the job's work list"
         );
+        assert!(
+            progress.resolved.windows(2).all(|w| w[0].0 < w[1].0),
+            "checkpoint verdicts are not strictly ascending by uid"
+        );
         self.cursor.pos = progress.pos;
         self.cursor.best = progress.best.clone();
         self.cursor.queries = progress.queries.clone();
         self.cursor.resolved = vec![UID_UNKNOWN; self.plan.n_uids];
+        self.cursor.resolved_log = Vec::with_capacity(progress.resolved.len());
         for &(uid, sat) in &progress.resolved {
             let slot = self
                 .cursor
@@ -341,6 +357,7 @@ impl AnyIoJob {
                 .get_mut(uid as usize)
                 .expect("checkpoint uid is past the job's verdict cache");
             *slot = if sat { UID_SAT } else { UID_UNSAT };
+            self.cursor.resolved_log.push(uid);
         }
         // Force a phase reset on the first resumed item: the fresh
         // solver's phase state differs from the interrupted run's, but
@@ -793,6 +810,78 @@ mod tests {
             }
         }
         assert!(boundaries >= 2, "corpus too small to exercise resume");
+    }
+
+    #[test]
+    fn resolved_log_matches_a_dense_scan_and_is_rebuilt_on_restore() {
+        // NPN + class sharing with the screen off, so every verdict comes
+        // from SAT. The circuit's function and an interpretation of it
+        // share a class; the second candidate owns another. The third
+        // candidate queries class uids the first skipped after its
+        // identity witness, so uids resolve out of ascending order.
+        let (lib, camo) = setup();
+        let lut = |t: &[u16; 8]| VectorFunction::from_lookup_table(3, 2, t).unwrap();
+        let f = lut(&[0, 2, 2, 1, 2, 1, 1, 3]);
+        let circuit = random_camouflage(&f, &lib, &camo).unwrap();
+        let t = mvf_logic::IoInterpretation {
+            in_perm: vec![1, 2, 0],
+            in_neg: 0b011,
+            out_perm: vec![1, 0],
+            out_neg: 0b01,
+        };
+        let candidates = vec![
+            f.clone(),
+            lut(&[3, 1, 0, 2, 1, 3, 2, 0]),
+            t.apply(&f).unwrap(),
+        ];
+        let opts = AnyIoOptions {
+            npn: true,
+            class_share: true,
+            screen: false,
+            ..AnyIoOptions::default()
+        };
+        let dense_scan = |job: &AnyIoJob| -> Vec<(u32, bool)> {
+            job.cursor
+                .resolved
+                .iter()
+                .enumerate()
+                .filter(|&(_, &v)| v != UID_UNKNOWN)
+                .map(|(uid, &v)| (uid as u32, v == UID_SAT))
+                .collect()
+        };
+        let mut job = AnyIoJob::new(&circuit, &lib, &camo, candidates.clone(), &opts);
+        let mut snapshots = vec![job.progress()];
+        while job.step(3) > 0 {
+            let p = job.progress();
+            assert_eq!(p.resolved, dense_scan(&job), "at position {}", p.pos);
+            assert!(p.resolved.len() <= p.queries.iter().sum());
+            snapshots.push(p);
+        }
+        let last = snapshots.last().unwrap();
+        assert!(
+            last.queries.iter().filter(|&&q| q > 0).count() > 1,
+            "verdicts must come from more than one candidate: {:?}",
+            last.queries
+        );
+        assert!(
+            job.cursor.resolved_log.windows(2).any(|w| w[0] > w[1]),
+            "corpus must resolve uids out of ascending order"
+        );
+        // Kill at every boundary: the resumed job's snapshots match the
+        // uninterrupted job's at every later boundary.
+        for (k, checkpoint) in snapshots.iter().enumerate() {
+            let mut resumed = AnyIoJob::new(&circuit, &lib, &camo, candidates.clone(), &opts);
+            resumed.restore(checkpoint);
+            assert_eq!(resumed.progress(), *checkpoint, "restore at boundary {k}");
+            for (later, want) in snapshots.iter().enumerate().skip(k + 1) {
+                resumed.step(3);
+                assert_eq!(
+                    resumed.progress(),
+                    *want,
+                    "killed at boundary {k}, diverged at {later}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -319,6 +319,13 @@ fn progress_from(v: &Value) -> Result<AnyIoProgress, CheckpointError> {
             Ok((uid as u32, sat))
         })
         .collect::<Result<Vec<_>, CheckpointError>>()?;
+    // A resumed job appends to this list; a duplicate or out-of-order
+    // uid would be re-emitted by every later snapshot.
+    if resolved.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return Err(CheckpointError::Malformed(
+            "resolved uids are not strictly ascending".into(),
+        ));
+    }
     Ok(AnyIoProgress {
         pos: usize_field(v, "pos")?,
         best,
@@ -522,9 +529,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sweep_checkpoint_round_trips() {
-        let cp = Checkpoint {
+    fn sweep_checkpoint(resolved: Vec<(u32, bool)>) -> Checkpoint {
+        Checkpoint {
             workload: sample_workload(),
             seed: 9,
             scheme: SchemeKind::Locking,
@@ -542,10 +548,15 @@ mod tests {
                     pos: 17,
                     best: vec![usize::MAX, 4],
                     queries: vec![9, 2],
-                    resolved: vec![(0, false), (3, true), (11, false)],
+                    resolved,
                 },
             },
-        };
+        }
+    }
+
+    #[test]
+    fn sweep_checkpoint_round_trips() {
+        let cp = sweep_checkpoint(vec![(0, false), (3, true), (11, false)]);
         let back = Checkpoint::from_json(&cp.to_json()).unwrap();
         let CheckpointPhase::Sweep { ga, progress } = back.phase else {
             panic!("phase changed");
@@ -555,6 +566,24 @@ mod tests {
         assert_eq!(progress.best, vec![usize::MAX, 4]);
         assert_eq!(progress.queries, vec![9, 2]);
         assert_eq!(progress.resolved, vec![(0, false), (3, true), (11, false)]);
+    }
+
+    #[test]
+    fn out_of_order_resolved_uids_are_rejected() {
+        let cp = sweep_checkpoint(vec![(3, true), (0, false)]);
+        assert!(matches!(
+            Checkpoint::from_json(&cp.to_json()),
+            Err(CheckpointError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn duplicate_resolved_uids_are_rejected() {
+        let cp = sweep_checkpoint(vec![(0, false), (3, true), (3, true)]);
+        assert!(matches!(
+            Checkpoint::from_json(&cp.to_json()),
+            Err(CheckpointError::Malformed(_))
+        ));
     }
 
     #[test]

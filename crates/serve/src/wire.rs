@@ -128,10 +128,14 @@ pub fn encode_function(f: &VectorFunction) -> Value {
 ///
 /// # Errors
 ///
-/// [`WireError`] on missing/mistyped fields or a table whose length does
-/// not match `2^n_in`.
+/// [`WireError`] on missing/mistyped fields, a function without inputs
+/// (a constant has no circuit to map), or a table whose length does not
+/// match `2^n_in`.
 pub fn decode_function(v: &Value) -> Result<VectorFunction, WireError> {
     let n_in = usize_field(v, "n_in")?;
+    if n_in == 0 {
+        return Err(WireError::new("function has no inputs"));
+    }
     let n_out = usize_field(v, "n_out")?;
     let table: Vec<u16> = arr_field(v, "table")?
         .iter()
@@ -863,6 +867,7 @@ mod tests {
             r#"{"n_in":4,"n_out":4}"#,                   // missing table
             r#"{"n_in":4,"n_out":4,"table":[1,2]}"#,     // short table
             r#"{"n_in":4,"n_out":4,"table":[99999]}"#,   // row overflow
+            r#"{"n_in":0,"n_out":1,"table":[1]}"#,       // no inputs
             r#"{"name":"w","functions":[]}"#,            // missing seed
             r#"{"name":"w","seed":1.5,"functions":[]}"#, // fractional seed
         ] {

@@ -224,3 +224,25 @@ fn checkpoint_files_are_written_when_a_dir_is_configured() {
     std::fs::remove_file(&path).ok();
     service.shutdown_and_join();
 }
+
+#[test]
+fn a_zero_input_workload_is_rejected_and_the_worker_keeps_serving() {
+    // A constant function has no circuit to map; accepting it used to
+    // panic the only worker and hang every later `wait` submit.
+    let service = AuditService::start(tiny_cfg());
+    let v = Value::parse(&service.handle(
+        r#"{"cmd":"submit","id":"const","workload":{"name":"const","seed":"1","functions":[{"n_in":0,"n_out":1,"table":[1]}]}}"#,
+    ))
+    .unwrap();
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{v}");
+    let error = v.get("error").and_then(Value::as_str).unwrap();
+    assert!(error.contains("no inputs"), "{error}");
+    let present1 =
+        mvf::Workload::new("PRESENT x1", mvf_sboxes::optimal_sboxes()[..1].to_vec()).with_seed(1);
+    let done = parse_ok(&service.handle(&format!(
+        "{{\"cmd\":\"submit\",\"id\":\"p1\",\"wait\":true,\"workload\":{}}}",
+        encode_workload(&present1)
+    )));
+    assert_eq!(done.get("status").and_then(Value::as_str), Some("done"));
+    service.shutdown_and_join();
+}
