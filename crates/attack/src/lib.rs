@@ -68,7 +68,6 @@ pub use session::{AnyIoJob, AnyIoProgress, SweepSession};
 pub use mvf_obfuscate::{ObfuscationSpace, SchemeKind};
 pub use mvf_sat::SimplifyStats;
 
-use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -288,7 +287,7 @@ fn checked_orbit(n_in: usize, n_out: usize, npn: bool) -> Option<u64> {
 }
 
 /// Enumerates the candidate's interpretation orbit lazily and calls
-/// `visit` with every point's flat index and lookup-table signature, in
+/// `visit` with every point's flat index and transformed function, in
 /// index order. Returns the full orbit size.
 ///
 /// The enumeration nests input permutation (major) → input negation →
@@ -299,11 +298,15 @@ fn checked_orbit(n_in: usize, n_out: usize, npn: bool) -> Option<u64> {
 /// working copy — negating before permuting equals permuting first and
 /// flipping the permuted wire. With `npn == false` both negation layers
 /// degenerate to the single empty mask and the indices coincide with the
-/// historical `ip_rank·n_out! + op_rank` layout.
-fn walk_orbit(candidate: &VectorFunction, npn: bool, mut visit: impl FnMut(u32, &[u16])) -> usize {
+/// historical `ip_rank·n_out! + op_rank` layout. The visitor borrows the
+/// walk's working copy, so nothing is allocated per point.
+fn walk_orbit(
+    candidate: &VectorFunction,
+    npn: bool,
+    mut visit: impl FnMut(u32, &VectorFunction),
+) -> usize {
     let n_in = candidate.n_inputs();
     let n_out = candidate.n_outputs();
-    let mut sig: Vec<u16> = Vec::with_capacity(1 << n_in);
     let mut permuted_in = VectorFunction::new(0, Vec::new());
     let mut permuted = VectorFunction::new(0, Vec::new());
     let mut index = 0u32;
@@ -330,15 +333,131 @@ fn walk_orbit(candidate: &VectorFunction, npn: bool, mut visit: impl FnMut(u32, 
                     if let Some(o) = out_flip {
                         permuted.negate_output_assign(o);
                     }
-                    sig.clear();
-                    sig.extend((0..1usize << n_in).map(|m| permuted.eval(m)));
-                    visit(index, &sig);
+                    visit(index, &permuted);
                     index += 1;
                 }
             }
         }
     }
     index as usize
+}
+
+/// Words of an orbit key: `n_out·2^n_in` bits rounded up to whole `u64`s
+/// (one word for 4×4, four for DES 6×4).
+fn orbit_key_words(n_in: usize, n_out: usize) -> usize {
+    (n_out << n_in).div_ceil(64).max(1)
+}
+
+/// Packs `f`'s output truth tables densely into `key` (cleared first):
+/// output `o` occupies bits `o·2^n_in ..`, so a table of fewer than 6
+/// inputs never straddles a word, and tables of ≥ 6 inputs are
+/// word-aligned and copied as they are. Unused table bits are zero by
+/// [`mvf_logic::TruthTable`]'s invariant, so for a fixed arity two
+/// functions pack to equal keys iff their lookup tables are equal.
+fn pack_orbit_key(f: &VectorFunction, key: &mut Vec<u64>) {
+    key.clear();
+    let rows = 1usize << f.n_inputs();
+    if rows >= 64 {
+        for t in f.outputs() {
+            key.extend_from_slice(t.words());
+        }
+        return;
+    }
+    key.resize(orbit_key_words(f.n_inputs(), f.n_outputs()), 0);
+    for (o, t) in f.outputs().iter().enumerate() {
+        let bit = o * rows;
+        key[bit / 64] |= t.words()[0] << (bit % 64);
+    }
+}
+
+/// Free slot marker of [`KeyInterner`]'s slot table.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// Interns fixed-width packed orbit keys ([`pack_orbit_key`]) as dense
+/// ids in first-seen order. Keys live back to back in one flat word
+/// arena (id `i` at `keys[i·width..]`); a power-of-two table of ids,
+/// kept at most half full, is probed linearly from a multiplicative hash
+/// of every key word. Interning allocates only when the arena or the
+/// table grows.
+struct KeyInterner {
+    width: usize,
+    keys: Vec<u64>,
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: the hash's top bits pick the home slot.
+    shift: u32,
+}
+
+impl KeyInterner {
+    fn new(width: usize) -> Self {
+        KeyInterner {
+            width,
+            keys: Vec::new(),
+            slots: vec![EMPTY_SLOT; 16],
+            shift: 64 - 4,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len() / self.width
+    }
+
+    /// Forgets every key; ids restart at 0 and the table keeps its size.
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.slots.fill(EMPTY_SLOT);
+    }
+
+    fn key(&self, id: u32) -> &[u64] {
+        let at = id as usize * self.width;
+        &self.keys[at..at + self.width]
+    }
+
+    fn home(&self, key: &[u64]) -> usize {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let h = key.iter().fold(0u64, |h, &w| {
+            let h = (h ^ w).wrapping_mul(K);
+            h ^ (h >> 32)
+        });
+        (h.wrapping_mul(K) >> self.shift) as usize
+    }
+
+    /// `Ok(id)` of an interned key, or `Err(slot)`: the free slot where
+    /// it would go.
+    fn find(&self, key: &[u64]) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(key);
+        loop {
+            match self.slots[slot] {
+                EMPTY_SLOT => return Err(slot),
+                id if self.key(id) == key => return Ok(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    fn get(&self, key: &[u64]) -> Option<u32> {
+        self.find(key).ok()
+    }
+
+    /// The key's id and whether it was fresh (assigned `len()` now).
+    fn intern(&mut self, key: &[u64]) -> (u32, bool) {
+        let slot = match self.find(key) {
+            Ok(id) => return (id, false),
+            Err(slot) => slot,
+        };
+        let id = self.len() as u32;
+        self.keys.extend_from_slice(key);
+        self.slots[slot] = id;
+        if 2 * self.len() > self.slots.len() {
+            self.shift -= 1;
+            self.slots = vec![EMPTY_SLOT; self.slots.len() * 2];
+            for id in 0..self.len() as u32 {
+                let slot = self.find(self.key(id)).expect_err("ids are distinct");
+                self.slots[slot] = id;
+            }
+        }
+        (id, true)
+    }
 }
 
 /// One representative (as a bare flat orbit index) per distinct
@@ -351,14 +470,75 @@ fn orbit_representatives(candidate: &VectorFunction, prune: bool, npn: bool) -> 
         return ((0..orbit as u32).collect(), orbit);
     }
     let mut reps = Vec::new();
-    let mut seen: HashSet<Vec<u16>> = HashSet::new();
-    let orbit = walk_orbit(candidate, npn, |index, sig| {
-        if !seen.contains(sig) {
-            seen.insert(sig.to_vec());
+    let mut seen = std::collections::HashSet::new();
+    let orbit = walk_orbit(candidate, npn, |index, g| {
+        if seen.insert(g.to_lookup_table()) {
             reps.push(index);
         }
     });
     (reps, orbit)
+}
+
+/// [`number_orbits`] as it was before the packed-key interner: every
+/// orbit point's lookup-table signature keyed in a
+/// `HashMap<Vec<u16>, u32>`, with a per-candidate `HashSet<u32>` of seen
+/// uids. The oracle the interner must reproduce bit for bit.
+#[cfg(test)]
+fn reference_numbering(
+    candidates: &[VectorFunction],
+    n_in: usize,
+    n_out: usize,
+    opts: &AnyIoOptions,
+) -> OrbitNumbering {
+    use std::collections::{HashMap, HashSet};
+    let shared = opts.class_share && opts.prune;
+    let mut sig_to_uid: HashMap<Vec<u16>, u32> = HashMap::new();
+    let mut uid_class: Vec<u32> = Vec::new();
+    let mut n_classes = 0u32;
+    let (mut all_reps, mut orbits, mut classes) = (Vec::new(), Vec::new(), Vec::new());
+    for candidate in candidates {
+        if !shared {
+            sig_to_uid.clear();
+        }
+        let class = match sig_to_uid.get(&candidate.to_lookup_table()) {
+            Some(&uid) if shared => uid_class[uid as usize],
+            _ => {
+                n_classes += 1;
+                n_classes - 1
+            }
+        };
+        classes.push(class as usize);
+        let mut reps: Vec<(u32, u32)> = Vec::new();
+        let orbit = if opts.prune {
+            let mut local_seen: HashSet<u32> = HashSet::new();
+            walk_orbit(candidate, opts.npn, |index, g| {
+                let uid = *sig_to_uid.entry(g.to_lookup_table()).or_insert_with(|| {
+                    uid_class.push(class);
+                    uid_class.len() as u32 - 1
+                });
+                if local_seen.insert(uid) {
+                    reps.push((index, uid));
+                }
+            })
+        } else {
+            let orbit = checked_orbit(n_in, n_out, opts.npn).unwrap() as usize;
+            for index in 0..orbit as u32 {
+                reps.push((index, uid_class.len() as u32));
+                uid_class.push(class);
+            }
+            orbit
+        };
+        orbits.push(orbit);
+        all_reps.push(reps);
+    }
+    OrbitNumbering {
+        reps: all_reps,
+        orbits,
+        classes,
+        n_classes: n_classes as usize,
+        n_uids: uid_class.len(),
+        shared,
+    }
 }
 
 /// Lexicographic permutation unranking (factorial number system): rank 0
@@ -686,6 +866,24 @@ pub(crate) struct AnyIoPlan {
     pub(crate) class_sizes: Vec<usize>,
 }
 
+/// The batch's orbit representatives with their uids: [`plan_any_io`]'s
+/// first stage, before screening.
+struct OrbitNumbering {
+    /// Per candidate, its `(orbit index, uid)` representatives in
+    /// enumeration order.
+    reps: Vec<Vec<(u32, u32)>>,
+    orbits: Vec<usize>,
+    classes: Vec<usize>,
+    n_classes: usize,
+    n_uids: usize,
+    /// Whether uids were assigned batch-wide.
+    shared: bool,
+}
+
+/// Plans an interpretation-freedom sweep ([`AnyIoPlan`]): numbers every
+/// candidate's orbit representatives ([`number_orbits`]: packed
+/// truth-table keys in a flat interner, uids in first-seen order as
+/// checkpoints expect), then screens them into the surviving work list.
 pub(crate) fn plan_any_io(
     nl: &Netlist,
     candidates: &[VectorFunction],
@@ -707,38 +905,63 @@ pub(crate) fn plan_any_io(
         assert_eq!(candidate.n_inputs(), n_in, "input arity mismatch");
         assert_eq!(candidate.n_outputs(), n_out, "output arity mismatch");
     }
-    // Class sharing rides on the signature walk of the pruner; without
-    // pruning every point is its own representative and there is nothing
-    // to share.
-    let share = opts.class_share && opts.prune;
-    // Representative lists are pure CPU (truth-table transforms), so
-    // they are built serially up front — which also makes them, and
-    // everything derived from them, deterministic by construction.
-    //
-    // `sig_to_uid` assigns one dense id per distinct transformed
-    // function. With class sharing it spans the whole batch: two
-    // candidates in the same interpretation class walk the same set of
-    // orbit functions, so a later class member resolves every one of its
-    // representatives to an already-known uid and the screen/SAT caches
-    // keyed by uid do its work for free. Without sharing the map is
-    // reset per candidate (uid numbering continues, so caches can never
-    // hit across candidates) and the sweep degenerates to the historical
-    // per-candidate behavior.
-    let mut sig_to_uid: HashMap<Vec<u16>, u32> = HashMap::new();
+    let numbering = number_orbits(candidates, n_in, n_out, opts);
+    plan_from(numbering, n_in, n_out, candidates, opts, screen)
+}
+
+/// Walks every candidate's orbit and gives each distinct transformed
+/// function a dense uid in first-seen order. Representative lists are
+/// pure CPU (truth-table transforms), so they are built serially up
+/// front — which also makes them, and everything derived from them,
+/// deterministic by construction.
+///
+/// A transformed function is keyed by its output truth tables packed
+/// into `u64` words ([`pack_orbit_key`]) and interned in a flat
+/// [`KeyInterner`]; a dense per-uid stamp marks the uids the current
+/// candidate has already seen. Nothing is allocated per orbit point.
+/// Packed keys correspond one-to-one to lookup tables, so uids number
+/// the distinct lookup tables in first-seen order. That numbering must
+/// not change: checkpoints carry uids, and a resume maps them back onto
+/// this plan.
+///
+/// With class sharing the uids span the whole batch: two candidates in
+/// the same interpretation class walk the same set of orbit functions,
+/// so a later class member resolves every one of its representatives to
+/// an already-known uid and the screen/SAT caches keyed by uid do its
+/// work for free. Without sharing the interner is reset per candidate
+/// (uid numbering continues, so caches can never hit across candidates)
+/// and the sweep degenerates to the historical per-candidate behavior.
+fn number_orbits(
+    candidates: &[VectorFunction],
+    n_in: usize,
+    n_out: usize,
+    opts: &AnyIoOptions,
+) -> OrbitNumbering {
+    // Class sharing rides on the pruner's orbit walk; without pruning
+    // every point is its own representative and there is nothing to
+    // share.
+    let shared = opts.class_share && opts.prune;
+    let mut interner = KeyInterner::new(orbit_key_words(n_in, n_out));
+    let mut key = Vec::new();
+    // Per uid: its class, and the ordinal + 1 of the last candidate
+    // whose walk met it.
     let mut uid_class: Vec<u32> = Vec::new();
+    let mut uid_seen: Vec<u32> = Vec::new();
     let mut n_classes = 0u32;
-    let mut all_reps: Vec<Vec<(u32, u32)>> = Vec::with_capacity(candidates.len());
+    let mut all_reps = Vec::with_capacity(candidates.len());
     let mut orbits = Vec::with_capacity(candidates.len());
     let mut classes = Vec::with_capacity(candidates.len());
-    for candidate in candidates {
-        if !share {
-            sig_to_uid.clear();
+    for (c, candidate) in candidates.iter().enumerate() {
+        if !shared {
+            interner.clear();
         }
-        // A candidate joins an existing class iff its identity signature
+        let base = if shared { 0 } else { uid_class.len() as u32 };
+        // A candidate joins an existing class iff its own function
         // already appears among earlier candidates' orbit functions
         // (group orbits are equal or disjoint, so one point decides).
-        let class = match sig_to_uid.get(&candidate.to_lookup_table()) {
-            Some(&uid) if share => uid_class[uid as usize],
+        pack_orbit_key(candidate, &mut key);
+        let class = match interner.get(&key) {
+            Some(id) if shared => uid_class[id as usize],
             _ => {
                 let k = n_classes;
                 n_classes += 1;
@@ -746,20 +969,19 @@ pub(crate) fn plan_any_io(
             }
         };
         classes.push(class as usize);
+        let stamp = c as u32 + 1;
         let mut reps: Vec<(u32, u32)> = Vec::new();
         let orbit = if opts.prune {
-            let mut local_seen: HashSet<u32> = HashSet::new();
-            walk_orbit(candidate, npn, |index, sig| {
-                let uid = match sig_to_uid.get(sig) {
-                    Some(&uid) => uid,
-                    None => {
-                        let uid = uid_class.len() as u32;
-                        sig_to_uid.insert(sig.to_vec(), uid);
-                        uid_class.push(class);
-                        uid
-                    }
-                };
-                if local_seen.insert(uid) {
+            walk_orbit(candidate, opts.npn, |index, g| {
+                pack_orbit_key(g, &mut key);
+                let (id, fresh) = interner.intern(&key);
+                if fresh {
+                    uid_class.push(class);
+                    uid_seen.push(0);
+                }
+                let uid = base + id;
+                if uid_seen[uid as usize] != stamp {
+                    uid_seen[uid as usize] = stamp;
                     reps.push((index, uid));
                 }
             })
@@ -767,7 +989,8 @@ pub(crate) fn plan_any_io(
             // Brute force keeps every orbit point as its own fresh uid;
             // no need to materialize the transformed functions just to
             // discard them.
-            let orbit = checked_orbit(n_in, n_out, npn).expect("orbit checked above") as usize;
+            let orbit =
+                checked_orbit(n_in, n_out, opts.npn).expect("orbit checked by caller") as usize;
             reps.reserve(orbit);
             for index in 0..orbit as u32 {
                 let uid = uid_class.len() as u32;
@@ -779,12 +1002,40 @@ pub(crate) fn plan_any_io(
         orbits.push(orbit);
         all_reps.push(reps);
     }
-    let mut class_counts = vec![0usize; n_classes as usize];
+    OrbitNumbering {
+        reps: all_reps,
+        orbits,
+        classes,
+        n_classes: n_classes as usize,
+        n_uids: uid_class.len(),
+        shared,
+    }
+}
+
+/// Screens a numbered batch into its [`AnyIoPlan`]: [`plan_any_io`]'s
+/// second stage.
+fn plan_from(
+    numbering: OrbitNumbering,
+    n_in: usize,
+    n_out: usize,
+    candidates: &[VectorFunction],
+    opts: &AnyIoOptions,
+    screen: Option<&CamoScreen>,
+) -> AnyIoPlan {
+    let OrbitNumbering {
+        reps: all_reps,
+        orbits,
+        classes,
+        n_classes,
+        n_uids,
+        shared,
+    } = numbering;
+    let npn = opts.npn;
+    let mut class_counts = vec![0usize; n_classes];
     for &k in &classes {
         class_counts[k] += 1;
     }
     let class_sizes: Vec<usize> = classes.iter().map(|&k| class_counts[k]).collect();
-    let n_uids = uid_class.len();
     // The SAT-free screen runs serially up front, so `screened` counts —
     // and the surviving work list — are identical for every shard count.
     // Screen outcomes are cached per uid: a classification is a property
@@ -856,7 +1107,7 @@ pub(crate) fn plan_any_io(
         npn,
         work,
         n_uids,
-        shared: share,
+        shared,
         best_init,
         screened,
         orbits,
@@ -1461,18 +1712,220 @@ mod tests {
         assert_eq!(npn_orbit, 36 * 8 * 8, "3!·2³·3!·2³");
     }
 
+    /// SplitMix64 stream for seeded random test functions.
+    fn next_rand(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn random_function(n_in: usize, n_out: usize, state: &mut u64) -> VectorFunction {
+        let table: Vec<u16> = (0..1usize << n_in)
+            .map(|_| (next_rand(state) & ((1 << n_out) - 1)) as u16)
+            .collect();
+        VectorFunction::from_lookup_table(n_in, n_out, &table).unwrap()
+    }
+
+    fn random_perm(n: usize, state: &mut u64) -> Vec<usize> {
+        let mut p: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            p.swap(i, (next_rand(state) % (i as u64 + 1)) as usize);
+        }
+        p
+    }
+
+    /// A random point of `f`'s orbit (polarities only under `npn`).
+    fn random_interpretation(f: &VectorFunction, npn: bool, state: &mut u64) -> VectorFunction {
+        let (n_in, n_out) = (f.n_inputs(), f.n_outputs());
+        let mut neg = |n: usize| {
+            if npn {
+                (next_rand(state) % (1 << n)) as u32
+            } else {
+                0
+            }
+        };
+        let (in_neg, out_neg) = (neg(n_in), neg(n_out));
+        IoInterpretation {
+            in_perm: random_perm(n_in, state),
+            in_neg,
+            out_perm: random_perm(n_out, state),
+            out_neg,
+        }
+        .apply(f)
+        .unwrap()
+    }
+
+    /// `f` with its last lookup-table bit (top output, last row)
+    /// flipped: the highest bit of its packed orbit key.
+    fn near_twin(f: &VectorFunction) -> VectorFunction {
+        let mut table = f.to_lookup_table();
+        *table.last_mut().unwrap() ^= 1 << (f.n_outputs() - 1);
+        VectorFunction::from_lookup_table(f.n_inputs(), f.n_outputs(), &table).unwrap()
+    }
+
+    /// A cell-free netlist of the given arity: all the planner reads.
+    fn arity_netlist(n_in: usize, n_out: usize) -> Netlist {
+        let mut nl = Netlist::new("arity");
+        let pis: Vec<_> = (0..n_in).map(|i| nl.add_input(format!("x{i}"))).collect();
+        for o in 0..n_out {
+            nl.add_output(format!("y{o}"), pis[0]);
+        }
+        nl
+    }
+
+    fn assert_plans_match(
+        nl: &Netlist,
+        candidates: &[VectorFunction],
+        opts: &AnyIoOptions,
+        screen: Option<&CamoScreen>,
+    ) -> AnyIoPlan {
+        let (n_in, n_out) = (nl.inputs().len(), nl.outputs().len());
+        let got = plan_any_io(nl, candidates, opts, screen);
+        let want = plan_from(
+            reference_numbering(candidates, n_in, n_out, opts),
+            n_in,
+            n_out,
+            candidates,
+            opts,
+            screen,
+        );
+        let ctx = format!("{n_in}x{n_out} {opts:?}");
+        assert_eq!(got.work, want.work, "work, {ctx}");
+        assert_eq!(got.n_uids, want.n_uids, "n_uids, {ctx}");
+        assert_eq!(got.shared, want.shared, "shared, {ctx}");
+        assert_eq!(got.classes, want.classes, "classes, {ctx}");
+        assert_eq!(got.class_sizes, want.class_sizes, "class_sizes, {ctx}");
+        assert_eq!(got.uniques, want.uniques, "uniques, {ctx}");
+        assert_eq!(got.orbits, want.orbits, "orbits, {ctx}");
+        assert_eq!(got.screened, want.screened, "screened, {ctx}");
+        assert_eq!(got.best_init, want.best_init, "best_init, {ctx}");
+        got
+    }
+
+    #[test]
+    fn interned_plan_matches_the_signature_map_reference() {
+        let mut state = 0x5EED_0001u64;
+        // (n_in, n_out, NPN settings): 7-in/2-out packs four words per
+        // key, so it exercises multi-word keys on the permutation orbit.
+        let shapes: [(usize, usize, &[bool]); 5] = [
+            (2, 2, &[false, true]),
+            (3, 3, &[false, true]),
+            (3, 2, &[false, true]),
+            (4, 4, &[false, true]),
+            (7, 2, &[false]),
+        ];
+        for (n_in, n_out, npn_settings) in shapes {
+            let nl = arity_netlist(n_in, n_out);
+            for &npn in npn_settings {
+                let f0 = random_function(n_in, n_out, &mut state);
+                let f1 = random_function(n_in, n_out, &mut state);
+                // Interpretations of earlier candidates share classes
+                // under class sharing. A near twin differs from `f0` in
+                // the last bit of its packed key only, so a key that
+                // loses its tail bits (or a comparison of its first word
+                // only) merges the two and renumbers the uids. The large
+                // orbits (147,456 points for 4x4 NPN, 128-row tables for
+                // 7x2) keep their batches short.
+                let mut batch = vec![f0.clone(), random_interpretation(&f0, npn, &mut state)];
+                if (n_in, n_out, npn) != (4, 4, true) {
+                    batch.push(near_twin(&f0));
+                    batch.push(f1.clone());
+                }
+                if n_in < 4 {
+                    batch.push(random_interpretation(&f1, npn, &mut state));
+                    batch.push(random_function(n_in, n_out, &mut state));
+                    batch.push(f1.clone());
+                }
+                for prune in [false, true] {
+                    for class_share in [false, true] {
+                        let opts = AnyIoOptions {
+                            npn,
+                            prune,
+                            class_share,
+                            ..AnyIoOptions::default()
+                        };
+                        assert_plans_match(&nl, &batch, &opts, None);
+                    }
+                }
+            }
+        }
+        // Behind a complete screen, so confirmed witnesses set
+        // `best_init`: the circuit's own function and an interpretation
+        // of it are plausible.
+        let (lib, camo) = setup();
+        let space = ObfuscationSpace::camouflage(&lib, &camo);
+        let mut confirmed = 0;
+        for (n_in, n_out) in [(2, 2), (3, 3), (3, 2)] {
+            let f = random_function(n_in, n_out, &mut state);
+            // A complete screen ignores the batch it was built for; sparse
+            // camouflage keeps its configuration count small.
+            let (nl, screen) = [8, 4, 2, 1]
+                .into_iter()
+                .find_map(|period| {
+                    let nl = partial_camouflage(&f, &lib, &camo, period).unwrap();
+                    let screen = ConfigScreen::build_in(&space, &nl, std::slice::from_ref(&f), 64)?;
+                    Some((nl, screen))
+                })
+                .expect("some camouflage stride fits the screen");
+            assert!(screen.is_complete());
+            for npn in [false, true] {
+                let batch = vec![
+                    f.clone(),
+                    random_function(n_in, n_out, &mut state),
+                    random_interpretation(&f, npn, &mut state),
+                ];
+                for class_share in [false, true] {
+                    let opts = AnyIoOptions {
+                        npn,
+                        class_share,
+                        ..AnyIoOptions::default()
+                    };
+                    let plan = assert_plans_match(&nl, &batch, &opts, Some(&screen));
+                    confirmed += plan.best_init.iter().filter(|&&b| b != usize::MAX).count();
+                }
+            }
+        }
+        assert!(confirmed > 0, "the screened cases must confirm witnesses");
+    }
+
+    #[test]
+    fn key_interner_numbers_keys_in_first_seen_order_and_hashes_every_word() {
+        // Four-word keys that share their first two words, as multi-word
+        // orbit keys often do.
+        let keys: Vec<[u64; 4]> = (0..300u64).map(|i| [7, 0, i, i >> 3]).collect();
+        let mut interner = KeyInterner::new(4);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(interner.intern(key), (i as u32, true));
+        }
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(interner.intern(key), (i as u32, false));
+            assert_eq!(interner.get(key), Some(i as u32));
+        }
+        assert_eq!(interner.get(&[7, 0, 300, 0]), None);
+        // Every word feeds the hash: the keys still spread over the
+        // table instead of piling onto one home slot.
+        let homes: std::collections::HashSet<usize> =
+            keys.iter().map(|key| interner.home(key)).collect();
+        assert!(homes.len() > keys.len() / 2, "{} home slots", homes.len());
+        interner.clear();
+        assert_eq!(interner.get(&keys[0]), None);
+        assert_eq!(interner.intern(&keys[5]), (0, true));
+    }
+
     #[test]
     fn npn_walk_matches_interpretation_unranking() {
         // The walk's in-place Gray flips and the index unranking must
         // describe the same orbit point: re-deriving the transformed
         // function from the unranked interpretation reproduces the
-        // walk's signature at every one of the 2304 indices.
+        // walk's function at every one of the 2304 indices.
         let f = VectorFunction::from_lookup_table(3, 3, &[1, 0, 3, 2, 5, 7, 6, 4]).unwrap();
         let (mut unrank_tmp, mut ip, mut op) = (Vec::new(), Vec::new(), Vec::new());
         let mut permuted_in = VectorFunction::new(0, Vec::new());
         let mut permuted = VectorFunction::new(0, Vec::new());
         let mut count = 0usize;
-        let orbit = walk_orbit(&f, true, |index, sig| {
+        let orbit = walk_orbit(&f, true, |index, g| {
             let (in_neg, out_neg) =
                 unrank_orbit_index(index, 3, 3, true, &mut unrank_tmp, &mut ip, &mut op);
             apply_orbit_point(
@@ -1484,7 +1937,7 @@ mod tests {
                 &mut permuted_in,
                 &mut permuted,
             );
-            assert_eq!(permuted.to_lookup_table(), sig, "index {index}");
+            assert_eq!(&permuted, g, "index {index}");
             // And the public interpretation type agrees with the
             // internal allocation-free pipeline.
             let interp = IoInterpretation {

@@ -700,7 +700,7 @@ fn main() {
     let sat_inprocess_queries: usize = inprocess_on.iter().map(|v| v.queries).sum();
     let sat_inprocess_on_ns = time_ns(|| {
         black_box(mvf_attack::plausibility_sweep_any_io_with(
-            black_box(&target3),
+            black_box(&target3_mixed),
             &lib,
             &camo,
             &any_io_candidates,
@@ -709,7 +709,7 @@ fn main() {
     }) / sat_inprocess_queries as f64;
     let sat_inprocess_off_ns = time_ns(|| {
         black_box(mvf_attack::plausibility_sweep_any_io_with(
-            black_box(&target3),
+            black_box(&target3_mixed),
             &lib,
             &camo,
             &any_io_candidates,

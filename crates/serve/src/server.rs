@@ -18,10 +18,14 @@
 //! A cancelled or shut-down job keeps its latest [`Checkpoint`]; fetch
 //! it with `checkpoint` and resubmit it (the `checkpoint` field of
 //! `submit`) to resume — the finished report is bit-identical to an
-//! uninterrupted run.
+//! uninterrupted run. A job that panics (say, resuming a well-formed
+//! checkpoint that does not fit its own sweep) ends `failed` with the
+//! panic message as `error`; the worker drops its session cache and
+//! keeps serving.
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 
 use mvf::cells::{CamoLibrary, Library};
@@ -35,22 +39,38 @@ use crate::store::SessionStore;
 use crate::wire::{decode_workload, encode_report_in};
 use crate::ServeConfig;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Phase {
     Queued,
     Running,
     Done,
     Cancelled,
+    /// The job panicked; carries the panic message.
+    Failed(String),
 }
 
 impl Phase {
-    fn name(self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
             Phase::Queued => "queued",
             Phase::Running => "running",
             Phase::Done => "done",
             Phase::Cancelled => "cancelled",
+            Phase::Failed(_) => "failed",
         }
+    }
+
+    /// The response fields naming job `id` in this phase: `id`,
+    /// `status`, plus `error` for a failed job.
+    fn fields(&self, id: &str) -> Vec<(String, Value)> {
+        let mut fields = vec![
+            ("id".into(), Value::str(id)),
+            ("status".into(), Value::str(self.name())),
+        ];
+        if let Phase::Failed(error) = self {
+            fields.push(("error".into(), Value::str(error)));
+        }
+        fields
     }
 }
 
@@ -360,30 +380,22 @@ impl Inner {
         if wait {
             return self.wait_and_report(&id);
         }
-        ok_response(vec![
-            ("id".into(), Value::str(&id)),
-            ("status".into(), Value::str(Phase::Queued.name())),
-        ])
+        ok_response(Phase::Queued.fields(&id))
     }
 
     fn wait_and_report(&self, id: &str) -> String {
         let mut st = self.state.lock().unwrap();
         loop {
             let entry = st.jobs.get(id).expect("waited-on job exists");
-            match entry.phase {
+            match &entry.phase {
                 Phase::Done => {
                     let report = entry.report.as_ref().expect("done job has a report");
-                    return ok_response(vec![
-                        ("id".into(), Value::str(id)),
-                        ("status".into(), Value::str(Phase::Done.name())),
-                        ("report".into(), self.report_value(entry.scheme, report)),
-                    ]);
+                    let mut fields = Phase::Done.fields(id);
+                    fields.push(("report".into(), self.report_value(entry.scheme, report)));
+                    return ok_response(fields);
                 }
-                Phase::Cancelled => {
-                    return ok_response(vec![
-                        ("id".into(), Value::str(id)),
-                        ("status".into(), Value::str(Phase::Cancelled.name())),
-                    ]);
+                phase @ (Phase::Cancelled | Phase::Failed(_)) => {
+                    return ok_response(phase.fields(id));
                 }
                 Phase::Queued | Phase::Running => {
                     st = self.cv.wait(st).unwrap();
@@ -400,10 +412,7 @@ impl Inner {
         let st = self.state.lock().unwrap();
         match st.jobs.get(&id) {
             Some(entry) => {
-                let mut fields = vec![
-                    ("id".into(), Value::str(&id)),
-                    ("status".into(), Value::str(entry.phase.name())),
-                ];
+                let mut fields = entry.phase.fields(&id);
                 // A finished job also reports what inprocessing did to
                 // its sweep solver.
                 if let Some(sat) = &entry.sat {
@@ -464,7 +473,7 @@ impl Inner {
         let mut st = self.state.lock().unwrap();
         match st.jobs.get_mut(&id) {
             Some(entry) => {
-                let phase = match entry.phase {
+                let phase = match &entry.phase {
                     // A queued job never starts; a running one pauses at
                     // its next checkpoint boundary.
                     Phase::Queued => {
@@ -477,12 +486,9 @@ impl Inner {
                         entry.cancel = true;
                         Phase::Running
                     }
-                    done => done,
+                    done => done.clone(),
                 };
-                ok_response(vec![
-                    ("id".into(), Value::str(&id)),
-                    ("status".into(), Value::str(phase.name())),
-                ])
+                ok_response(phase.fields(&id))
             }
             None => err_response(&format!("no job '{id}'")),
         }
@@ -533,27 +539,44 @@ fn worker_loop(inner: &Inner) {
                 Control::Continue
             }
         };
-        let outcome = match resume_from {
+        // A panicking job fails alone: the worker records the message
+        // and moves on. The session cache may hold a half-updated entry,
+        // so it is dropped (results never depend on it).
+        let outcome = catch_unwind(AssertUnwindSafe(|| match resume_from {
             Some(cp) => resume_audit(&inner.cfg, cp, Some(&mut store), &mut observer),
             None => run_audit(&inner.cfg, &workload, seed, Some(&mut store), &mut observer),
-        };
+        }));
+        if outcome.is_err() {
+            store = SessionStore::new(inner.cfg.session_cache_bytes);
+        }
 
         let mut st = inner.state.lock().unwrap();
         let entry = st.jobs.get_mut(&id).expect("running job exists");
         match outcome {
-            AuditOutcome::Finished { report, sat } => {
+            Ok(AuditOutcome::Finished { report, sat }) => {
                 entry.phase = Phase::Done;
                 entry.report = Some(report);
                 entry.sat = Some(sat);
             }
-            AuditOutcome::Paused(cp) => {
+            Ok(AuditOutcome::Paused(cp)) => {
                 entry.phase = Phase::Cancelled;
                 entry.checkpoint = Some(*cp);
             }
+            Err(payload) => entry.phase = Phase::Failed(panic_message(payload.as_ref())),
         }
         inner.cv.notify_all();
         if st.shutdown {
             return;
         }
     }
+}
+
+/// The message of a caught panic (`panic!` payloads are a `&str` or a
+/// `String`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "job panicked".to_string())
 }

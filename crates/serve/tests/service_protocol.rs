@@ -246,3 +246,67 @@ fn a_zero_input_workload_is_rejected_and_the_worker_keeps_serving() {
     assert_eq!(done.get("status").and_then(Value::as_str), Some("done"));
     service.shutdown_and_join();
 }
+
+#[test]
+fn a_panicking_checkpoint_fails_alone_and_the_worker_keeps_serving() {
+    // A well-formed checkpoint whose sweep position is past the job's
+    // work list passes decode but cannot be resumed; it used to panic
+    // the only worker and hang every later `wait` submit.
+    use mvf_attack::AnyIoProgress;
+    use mvf_serve::checkpoint::GaFinal;
+    use mvf_serve::{Checkpoint, CheckpointPhase};
+
+    let service = AuditService::start(tiny_cfg());
+    let functions = mvf_sboxes::optimal_sboxes()[..1].to_vec();
+    let bad = Checkpoint {
+        workload: mvf::Workload::new("PRESENT x1", functions.clone()).with_seed(1),
+        seed: 1,
+        scheme: mvf::SchemeKind::Camouflage,
+        failed_evaluations: 0,
+        phase: CheckpointPhase::Sweep {
+            ga: GaFinal {
+                best: mvf::merge::PinAssignment::identity(&functions),
+                history: Vec::new(),
+                evaluations: 0,
+            },
+            progress: AnyIoProgress {
+                pos: 1_000_000_000,
+                best: vec![usize::MAX],
+                queries: vec![0],
+                resolved: Vec::new(),
+            },
+        },
+    }
+    .to_value();
+    let queued = parse_ok(&service.handle(&format!(
+        "{{\"cmd\":\"submit\",\"id\":\"bad\",\"checkpoint\":{bad}}}"
+    )));
+    assert_eq!(queued.get("status").and_then(Value::as_str), Some("queued"));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    let failed = loop {
+        let v = parse_ok(&service.handle("{\"cmd\":\"status\",\"id\":\"bad\"}"));
+        match v.get("status").and_then(Value::as_str) {
+            Some("failed") => break v,
+            Some("queued" | "running") => {}
+            other => panic!("a past-the-end checkpoint must fail, got {other:?}"),
+        }
+        assert!(std::time::Instant::now() < deadline, "the job never failed");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
+    let error = failed.get("error").and_then(Value::as_str).unwrap();
+    assert!(error.contains("past the job's work list"), "{error}");
+    // A `wait` submit of a failing job returns its failure, not a hang.
+    let waited = parse_ok(&service.handle(&format!(
+        "{{\"cmd\":\"submit\",\"id\":\"bad-wait\",\"wait\":true,\"checkpoint\":{bad}}}"
+    )));
+    assert_eq!(waited.get("status").and_then(Value::as_str), Some("failed"));
+    assert!(waited.get("error").is_some(), "{waited}");
+    // The worker survived both panics.
+    let present1 = mvf::Workload::new("PRESENT x1", functions).with_seed(1);
+    let done = parse_ok(&service.handle(&format!(
+        "{{\"cmd\":\"submit\",\"id\":\"p1\",\"wait\":true,\"workload\":{}}}",
+        encode_workload(&present1)
+    )));
+    assert_eq!(done.get("status").and_then(Value::as_str), Some("done"));
+    service.shutdown_and_join();
+}
